@@ -242,32 +242,36 @@ func (d *Detector) Prob(g seq.Stream) (float64, error) {
 	if len(g) != d.window+1 {
 		return 0, fmt.Errorf("nnet: gram length %d, want %d", len(g), d.window+1)
 	}
-	b := g.Bytes()
-	probs := d.net.forward(b[:d.window])
-	next := int(b[d.window])
+	return d.probBytes(g.Bytes()), nil
+}
+
+// probBytes is Prob for a byte-encoded, length-checked (window+1)-gram. It
+// runs forward on the network's scratch, so it allocates nothing and is
+// not safe for concurrent use.
+func (d *Detector) probBytes(gram []byte) float64 {
+	probs := d.net.forward(gram[:d.window])
+	next := int(gram[d.window])
 	if next >= len(probs) {
-		return 0, nil
+		return 0
 	}
-	return probs[next], nil
+	return probs[next]
 }
 
 // Score implements detector.Detector: responses[i] = 1 - P̂(test[i+DW] |
 // test[i:i+DW]) under the trained network.
 func (d *Detector) Score(test seq.Stream) ([]float64, error) {
-	if err := detector.CheckScorable(d.net != nil, d.window+1, test); err != nil {
-		return nil, err
+	return detector.ScoreWindows(d, d.net != nil, d.window+1, test)
+}
+
+// ScoreWindowBytes implements detector.WindowByteScorer: one forward pass
+// over the gram's context, read out at its last element, with no
+// allocation.
+func (d *Detector) ScoreWindowBytes(w []byte) (float64, error) {
+	if d.net == nil {
+		return 0, detector.ErrNotTrained
 	}
-	b := test.Bytes()
-	n := seq.NumWindows(len(test), d.window+1)
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		probs := d.net.forward(b[i : i+d.window])
-		next := int(b[i+d.window])
-		p := 0.0
-		if next < len(probs) {
-			p = probs[next]
-		}
-		out[i] = 1 - p
+	if len(w) != d.window+1 {
+		return 0, fmt.Errorf("nnet: gram length %d, want %d", len(w), d.window+1)
 	}
-	return out, nil
+	return 1 - d.probBytes(w), nil
 }

@@ -7,11 +7,19 @@ package nnet
 // identical, which is the repo's determinism contract for the flat
 // column-major kernel: same seeded PCG consumption, same floating-point
 // operation order, same trained network.
+//
+// It also retains the batch Score loop the detector had before Score was
+// derived from the single-gram kernel (detector.ScoreWindows), verbatim, as
+// the oracle the memoized path is checked against bit for bit.
 
 import (
+	"fmt"
 	"math"
 	"sort"
+	"testing"
 
+	"adiv/internal/detector"
+	"adiv/internal/detector/detectortest"
 	"adiv/internal/rng"
 	"adiv/internal/seq"
 )
@@ -268,4 +276,59 @@ func refCompareBytes(a, b []byte) int {
 		}
 	}
 	return len(a) - len(b)
+}
+
+func (d *Detector) refScore(test seq.Stream) ([]float64, error) {
+	if err := detector.CheckScorable(d.net != nil, d.window+1, test); err != nil {
+		return nil, err
+	}
+	b := test.Bytes()
+	n := seq.NumWindows(len(test), d.window+1)
+	out := make([]float64, n)
+	for i := 0; i < n; i++ {
+		probs := d.net.forward(b[i : i+d.window])
+		next := int(b[i+d.window])
+		p := 0.0
+		if next < len(probs) {
+			p = probs[next]
+		}
+		out[i] = 1 - p
+	}
+	return out, nil
+}
+
+// oracleCfg trains in a few milliseconds per window: the oracle needs a
+// trained network, not a good one.
+func oracleCfg() Config {
+	cfg := DefaultConfig()
+	cfg.Hidden = 8
+	cfg.Epochs = 3
+	return cfg
+}
+
+func TestScoreMatchesReference(t *testing.T) {
+	c := detectortest.Corpus(t)
+	streams := detectortest.Streams(c)
+	for dw := 1; dw <= detectortest.MaxWindow; dw++ {
+		d, err := New(dw, oracleCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Train(c.Training); err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range streams {
+			detectortest.Same(t, fmt.Sprintf("DW=%d stream %d", dw, i), d.Score, d.refScore, s)
+		}
+	}
+}
+
+func TestScoreErrorsMatchReference(t *testing.T) {
+	untrained, _ := New(5, oracleCfg())
+	trained, _ := New(5, oracleCfg())
+	if err := trained.Train(detectortest.Corpus(t).Training); err != nil {
+		t.Fatal(err)
+	}
+	detectortest.SameErrors(t, trained.Extent(),
+		untrained.Score, untrained.refScore, trained.Score, trained.refScore)
 }

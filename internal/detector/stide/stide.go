@@ -82,20 +82,7 @@ func (d *Detector) NormalCount() int {
 // Score implements detector.Detector: response 1 for each test window
 // absent from the normal database, 0 otherwise.
 func (d *Detector) Score(test seq.Stream) ([]float64, error) {
-	if err := detector.CheckScorable(d.normal != nil, d.window, test); err != nil {
-		return nil, err
-	}
-	n := seq.NumWindows(len(test), d.window)
-	out := make([]float64, n)
-	// Encode the test stream once and query each window as an overlapping
-	// subslice: the whole score loop performs no per-window allocation.
-	b := test.Bytes()
-	for i := 0; i < n; i++ {
-		if !d.normal.ContainsBytes(b[i : i+d.window]) {
-			out[i] = 1
-		}
-	}
-	return out, nil
+	return detector.ScoreWindows(d, d.normal != nil, d.window, test)
 }
 
 // LFC applies Stide's locality frame count to a response sequence: each

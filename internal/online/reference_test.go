@@ -18,6 +18,7 @@ import (
 	"adiv/internal/detector/hmm"
 	"adiv/internal/detector/lbr"
 	"adiv/internal/detector/markovdet"
+	"adiv/internal/detector/nnet"
 	"adiv/internal/detector/stide"
 	"adiv/internal/detector/tstide"
 	"adiv/internal/obs"
@@ -112,6 +113,14 @@ func refDetectors(t *testing.T, train seq.Stream) map[string]detector.Detector {
 	}
 	out["lbr"] = lb
 
+	nncfg := nnet.DefaultConfig()
+	nncfg.Hidden, nncfg.Epochs = 8, 20
+	nn, err := nnet.New(4, nncfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["nn"] = nn
+
 	cfg := hmm.DefaultConfig()
 	cfg.Iterations = 4
 	hm, err := hmm.New(cfg)
@@ -137,6 +146,12 @@ func TestPushMatchesReference(t *testing.T) {
 	for name, det := range refDetectors(t, train) {
 		if _, ok := detector.AsWindowByteScorer(det); !ok {
 			t.Fatalf("%s: expected a streaming fast path", name)
+		}
+		test := test
+		if name == "nn" {
+			// The network's one-hot input has no column for a symbol
+			// outside its training alphabet.
+			test = refStream(11, 1200, 8)
 		}
 		ref, err := newRefScorer(det)
 		if err != nil {

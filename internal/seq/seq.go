@@ -98,10 +98,15 @@ func Build(stream Stream, width int) (*DB, error) {
 		return nil, fmt.Errorf("seq: non-positive window width %d", width)
 	}
 	n := NumWindows(len(stream), width)
+	// The map grows from empty: the distinct count is unknown and usually
+	// tiny next to n (at most 690 distinct windows per width over the
+	// paper's 1M-symbol training stream), and a cached DB lives as long as
+	// its corpus, so a size hint near n would hold megabytes of empty
+	// slots per width.
 	db := &DB{
 		width:  width,
 		total:  n,
-		counts: make(map[string]*int, min(n, 1<<16)),
+		counts: make(map[string]*int),
 	}
 	b := stream.Bytes()
 	for i := 0; i < n; i++ {

@@ -1,6 +1,7 @@
 package seq
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -82,6 +83,34 @@ func TestBuildShortStream(t *testing.T) {
 	}
 	if db.RelFreq(mk(1, 2, 3, 4, 5)) != 0 {
 		t.Errorf("RelFreq on empty DB should be 0")
+	}
+}
+
+// TestBuildRetainsPerDistinct pins a DB's retained heap to its distinct
+// windows, not its stream length: a 200k-window periodic stream has 8
+// distinct windows, and its DB must stay far below the megabytes a map
+// sized for every window would hold for the corpus's lifetime.
+func TestBuildRetainsPerDistinct(t *testing.T) {
+	stream := make(Stream, 200_000)
+	for i := range stream {
+		stream[i] = alphabet.Symbol(i % 8)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	db, err := Build(stream, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	runtime.KeepAlive(db)
+	if db.Distinct() != 8 {
+		t.Fatalf("%d distinct windows, want 8", db.Distinct())
+	}
+	if retained > 64<<10 {
+		t.Errorf("DB of 8 distinct windows retains %d bytes, want under 64 KiB", retained)
 	}
 }
 
