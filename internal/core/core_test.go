@@ -8,6 +8,7 @@ import (
 	"adiv/internal/detector/markovdet"
 	"adiv/internal/detector/stide"
 	"adiv/internal/eval"
+	"adiv/internal/obs"
 )
 
 // buildQuickCorpus builds a reduced corpus once per test binary run.
@@ -88,6 +89,33 @@ func TestBuildCorpusVerifiesAnomalies(t *testing.T) {
 // TestPerformanceMapShapes is the repository's smoke test for the paper's
 // headline result: the three deterministic detectors produce the coverage
 // shapes of Figures 3–5.
+// TestBuildCorpusStreamPasses pins how often building the corpus counts the
+// training stream. Anomaly verification asks for widths 1 and 2 first and
+// injection then visits its widths widest first, so every other width the
+// grid needs is derived from a wider cached database.
+func TestBuildCorpusStreamPasses(t *testing.T) {
+	reg := obs.New()
+	c, err := BuildCorpusObserved(QuickConfig(), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Hash() != quickCorpus(t).Hash() {
+		t.Fatal("instrumented corpus differs from BuildCorpus(QuickConfig())")
+	}
+	passes, _, _, _ := reg.Timing("seq/corpus/build").Stats()
+	derived := reg.Counter("seq/corpus/derived").Value()
+	_, misses := c.TrainingDBs().Stats()
+	if passes > 3 {
+		t.Errorf("%d full passes over the training stream, want <= 3", passes)
+	}
+	if want := c.Config.MaxWindow + 1; misses != int64(want) {
+		t.Errorf("%d widths filled, want %d (1 through MaxWindow+1)", misses, want)
+	}
+	if passes+derived != misses {
+		t.Errorf("%d passes + %d derived != %d misses", passes, derived, misses)
+	}
+}
+
 func TestPerformanceMapShapes(t *testing.T) {
 	c := quickCorpus(t)
 	opts := eval.DefaultOptions()

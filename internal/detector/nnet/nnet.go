@@ -248,7 +248,18 @@ func (d *Detector) Prob(g seq.Stream) (float64, error) {
 // probBytes is Prob for a byte-encoded, length-checked (window+1)-gram. It
 // runs forward on the network's scratch, so it allocates nothing and is
 // not safe for concurrent use.
+//
+// A context symbol outside the trained alphabet has no input column (the
+// first layer is indexed by position*k+symbol, so it would read the next
+// position's weights, or past the matrix at the last position). Such a
+// context was never seen in training, so, as the Markov detector does for
+// an unseen context, the gram gets probability 0 and response 1.
 func (d *Detector) probBytes(gram []byte) float64 {
+	for _, sym := range gram[:d.window] {
+		if int(sym) >= d.net.k {
+			return 0
+		}
+	}
 	probs := d.net.forward(gram[:d.window])
 	next := int(gram[d.window])
 	if next >= len(probs) {

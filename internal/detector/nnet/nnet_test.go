@@ -7,6 +7,7 @@ import (
 
 	"adiv/internal/alphabet"
 	"adiv/internal/detector"
+	"adiv/internal/online"
 	"adiv/internal/seq"
 )
 
@@ -291,6 +292,59 @@ func TestExplicitAlphabetSize(t *testing.T) {
 	}
 	if p < 0 || p > 0.5 {
 		t.Errorf("P(5|0 1) = %v", p)
+	}
+}
+
+// TestContextSymbolOutsideAlphabet pins the response for a context symbol
+// the network has no input column for: 1, as for any context never seen in
+// training, at every context position (mid-window used to read the next
+// position's weights, the last position to slice past the weight matrix),
+// with batch Score and streaming Push agreeing bit for bit.
+func TestContextSymbolOutsideAlphabet(t *testing.T) {
+	const dw, k = 4, 5
+	d, err := New(dw, quickCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var train seq.Stream
+	for i := 0; i < 200; i++ {
+		train = append(train, alphabet.Symbol(i%k))
+	}
+	if err := d.Train(train); err != nil {
+		t.Fatal(err)
+	}
+	for _, foreign := range []int{k, k + 2, 255} {
+		test := mk(0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 0, 1, 2, 3, 4)
+		const at = 7
+		test[at] = alphabet.Symbol(foreign)
+		got, err := d.Score(test)
+		if err != nil {
+			t.Fatalf("symbol %d: %v", foreign, err)
+		}
+		for i, r := range got {
+			if i <= at && at < i+dw && r != 1 {
+				t.Errorf("symbol %d at context position %d: response %v, want 1", foreign, at-i, r)
+			}
+			if p, err := d.Prob(test[i : i+dw+1]); err != nil || math.Float64bits(1-p) != math.Float64bits(r) {
+				t.Errorf("symbol %d window %d: Prob %v (%v), Score response %v", foreign, i, p, err, r)
+			}
+		}
+		sc, err := online.NewScorer(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pushed, err := sc.PushAll(test)
+		if err != nil {
+			t.Fatalf("symbol %d: push: %v", foreign, err)
+		}
+		if len(pushed) != len(got) {
+			t.Fatalf("symbol %d: %d pushed responses, %d scored", foreign, len(pushed), len(got))
+		}
+		for i := range got {
+			if math.Float64bits(pushed[i]) != math.Float64bits(got[i]) {
+				t.Errorf("symbol %d window %d: push %v, score %v", foreign, i, pushed[i], got[i])
+			}
+		}
 	}
 }
 

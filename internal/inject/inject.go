@@ -113,6 +113,12 @@ func At(background, anomaly seq.Stream, pos int) (Placement, error) {
 // [opts.MinWidth, opts.MaxWidth] (plus one, with opts.ContextWidths) that
 // contains at least one anomaly element but not the whole anomaly occurs in
 // the training data.
+//
+// Widths are visited widest first. Validity is a conjunction over widths,
+// so the order never changes the verdict, but it does decide which
+// training database is asked for first: once the widest is cached, the
+// index derives every narrower one from it instead of passing over the
+// training stream again (see seq.Corpus.DB).
 func Valid(trainIx *seq.Index, p Placement, opts Options) (bool, error) {
 	if err := opts.Validate(); err != nil {
 		return false, err
@@ -121,7 +127,7 @@ func Valid(trainIx *seq.Index, p Placement, opts Options) (bool, error) {
 	if opts.ContextWidths {
 		maxW++
 	}
-	for width := opts.MinWidth; width <= maxW; width++ {
+	for width := maxW; width >= opts.MinWidth; width-- {
 		lo, hi, ok := p.IncidentSpan(width)
 		if !ok {
 			continue

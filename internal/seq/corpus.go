@@ -15,8 +15,12 @@ import (
 // every window width on the same stream — stide, t-stide and Lane &
 // Brodley all want the width-w database and the next-element predictors
 // want width w+1 — so a shared Corpus turns dozens of near-identical
-// seq.Build passes over the (million-element) stream into one build per
-// distinct width.
+// seq.Build passes over the (million-element) stream into one database
+// per distinct width. Most of those never touch the stream: a width is
+// derived from the narrowest completed wider database already cached
+// (counts summed by key prefix, plus the few tail windows no wider window
+// covers), so a caller that asks for its widest width first pays one
+// stream pass for the whole range.
 //
 // DB is singleflight per width: concurrent callers asking for the same
 // width block on a single build instead of duplicating it, and callers
@@ -36,15 +40,17 @@ type Corpus struct {
 	misses atomic.Int64
 
 	// Telemetry handles; nil when uninstrumented (the default).
-	mHits   *obs.Counter
-	mMisses *obs.Counter
-	tBuild  *obs.Timing
-	gWidths *obs.Gauge
-	tracer  *obs.Tracer
+	mHits    *obs.Counter
+	mMisses  *obs.Counter
+	mDerived *obs.Counter
+	tBuild   *obs.Timing
+	gWidths  *obs.Gauge
+	tracer   *obs.Tracer
 }
 
-// corpusEntry is one width's build slot. The goroutine that creates the
-// entry performs the build and closes done; everyone else waits on done.
+// corpusEntry is one width's cache slot. The goroutine that creates the
+// entry fills it (by a stream pass or by derivation) and closes done;
+// everyone else waits on done.
 type corpusEntry struct {
 	done chan struct{}
 	db   *DB
@@ -61,19 +67,22 @@ func NewCorpus(stream Stream) *Corpus {
 }
 
 // Instrument records cache telemetry into reg: the seq/corpus/hit and
-// seq/corpus/miss counters, the seq/corpus/build timing (one record per
-// database built), and the seq/corpus/widths gauge (distinct widths
-// cached). A nil registry disables instrumentation. Instrument is safe to
-// call concurrently with DB.
+// seq/corpus/miss counters (a miss is one per-width cache fill), the
+// seq/corpus/derived counter (misses filled from a wider cached database),
+// the seq/corpus/build timing (one record per full pass over the stream,
+// so its count is misses minus derived), and the seq/corpus/widths gauge
+// (distinct widths cached). A nil registry disables instrumentation.
+// Instrument is safe to call concurrently with DB.
 func (c *Corpus) Instrument(reg *obs.Registry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if reg == nil {
-		c.mHits, c.mMisses, c.tBuild, c.gWidths, c.tracer = nil, nil, nil, nil, nil
+		c.mHits, c.mMisses, c.mDerived, c.tBuild, c.gWidths, c.tracer = nil, nil, nil, nil, nil, nil
 		return
 	}
 	c.mHits = reg.Counter("seq/corpus/hit")
 	c.mMisses = reg.Counter("seq/corpus/miss")
+	c.mDerived = reg.Counter("seq/corpus/derived")
 	c.tBuild = reg.Timing("seq/corpus/build")
 	c.gWidths = reg.Gauge("seq/corpus/widths")
 	c.tracer = reg.Tracer()
@@ -105,8 +114,12 @@ func (c *Corpus) AlphabetSize() int {
 	return c.alphaSize
 }
 
-// DB returns the sequence database at the given width, building it at most
-// once per width. It returns an error for a non-positive width.
+// DB returns the sequence database at the given width, filling each width
+// at most once. A miss derives the width from the narrowest wider database
+// whose fill has completed (an in-flight one is never waited on or read)
+// and passes over the stream only when there is none; either way the
+// result equals Build(stream, width). It returns an error for a
+// non-positive width.
 func (c *Corpus) DB(width int) (*DB, error) {
 	if width <= 0 {
 		return nil, fmt.Errorf("seq: non-positive window width %d", width)
@@ -120,25 +133,51 @@ func (c *Corpus) DB(width int) (*DB, error) {
 		hits.Inc()
 		return e.db, e.err
 	}
+	wide := c.widerLocked(width)
 	e := &corpusEntry{done: make(chan struct{})}
 	c.entries[width] = e
-	misses, tBuild, gWidths, tracer := c.mMisses, c.tBuild, c.gWidths, c.tracer
+	misses, derived, tBuild, gWidths, tracer := c.mMisses, c.mDerived, c.tBuild, c.gWidths, c.tracer
 	widths := len(c.entries)
 	c.mu.Unlock()
 
 	c.misses.Add(1)
 	misses.Inc()
-	// The singleflight build has no worker identity (whichever training
+	// The singleflight fill has no worker identity (whichever training
 	// task lost the race performs it), so the trace span stays laneless.
 	tsp := tracer.Start("seq/db", "db")
 	tsp.SetAttrInt("width", width)
-	start := time.Now()
-	e.db, e.err = Build(c.stream, width)
-	tBuild.Record(time.Since(start))
+	if wide != nil {
+		tsp.SetAttrInt("from", wide.width)
+		e.db = derive(wide, c.stream, width)
+		derived.Inc()
+	} else {
+		start := time.Now()
+		e.db, e.err = Build(c.stream, width)
+		tBuild.Record(time.Since(start))
+	}
 	tsp.End()
 	gWidths.Set(float64(widths))
 	close(e.done)
 	return e.db, e.err
+}
+
+// widerLocked returns the narrowest cached database wider than width whose
+// fill has completed, or nil when there is none. c.mu must be held.
+func (c *Corpus) widerLocked(width int) *DB {
+	var best *DB
+	for w, e := range c.entries {
+		if w <= width || (best != nil && w >= best.width) {
+			continue
+		}
+		select {
+		case <-e.done:
+			if e.err == nil {
+				best = e.db
+			}
+		default: // still in flight
+		}
+	}
+	return best
 }
 
 // Contains reports whether w occurs in the stream (at w's own length). An
@@ -154,9 +193,11 @@ func (c *Corpus) Contains(w Stream) (bool, error) {
 	return db.Contains(w), nil
 }
 
-// Stats returns the cache's lifetime hit and miss counts. Each miss
-// corresponds to exactly one seq.Build over the stream, so a grid run's
-// training work is provable from the miss count alone.
+// Stats returns the cache's lifetime hit and miss counts. Each miss is
+// exactly one per-width cache fill, so a grid run's database work is
+// provable from the miss count alone. A miss is not necessarily a pass
+// over the stream: the instrumented seq/corpus/derived counter says how
+// many fills were derived from a wider database instead.
 func (c *Corpus) Stats() (hits, misses int64) {
 	return c.hits.Load(), c.misses.Load()
 }

@@ -121,6 +121,32 @@ func Build(stream Stream, width int) (*DB, error) {
 	return db, nil
 }
 
+// derive returns stream's database at width w < wide.Width(), computed from
+// wide, the same stream's database at a larger width W, without rescanning
+// the stream. Every w-window starting at i <= n-W is the w-prefix of the
+// W-window starting at i, so summing wide's counts by key prefix counts
+// all of them; the W-w windows at the stream's tail (fewer when the stream
+// is shorter than W) start past the last W-window, so Build counts them
+// over the tail alone. The result equals Build(stream, w) key for key —
+// same Total, Distinct and every count — at O(distinct(wide) + W) cost
+// instead of O(n). The prefix keys share wide's key memory, which is fine
+// because a cached wide database lives as long as anything derived from
+// it.
+func derive(wide *DB, stream Stream, w int) *DB {
+	db, _ := Build(stream[NumWindows(len(stream), wide.width):], w)
+	db.total = NumWindows(len(stream), w)
+	for k, c := range wide.counts {
+		if p := db.counts[k[:w]]; p != nil {
+			*p += *c
+		} else {
+			p = new(int)
+			*p = *c
+			db.counts[k[:w]] = p
+		}
+	}
+	return db
+}
+
 // Width returns the window width the database was built for.
 func (db *DB) Width() int { return db.width }
 

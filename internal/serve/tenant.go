@@ -44,12 +44,18 @@ type AlarmerTenant struct {
 func (t AlarmerTenant) PushBatch(syms []alphabet.Symbol) ([]float64, int, error) {
 	var responses []float64
 	alarms := 0
-	for _, sym := range syms {
+	for i, sym := range syms {
 		r, ready, _, raised, err := t.A.PushScored(sym)
 		if err != nil {
 			return responses, alarms, err
 		}
 		if ready {
+			// At most len(syms)-i responses remain, so one allocation
+			// covers the batch; a batch that readies none still returns
+			// nil, as online.Scorer.PushAll does.
+			if responses == nil {
+				responses = make([]float64, 0, len(syms)-i)
+			}
 			responses = append(responses, r)
 		}
 		if raised {
